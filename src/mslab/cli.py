@@ -206,35 +206,29 @@ def cmd_verify_gamma(args) -> int:
     return 1
 
 
-def _report_output(args, report) -> None:
+def _report_output(args, report) -> int:
+    """Write a sweep-style report; 1 on violations, 3 if inconclusive."""
     if args.format == "csv":
         _emit(mio.sweep_report_csv(report), args.out)
     else:
         _emit(mio.dumps(mio.sweep_report_doc(report)), args.out)
+    if report.summary.violations:
+        return 1
+    if any(r.status == "inconclusive" for r in report.rows):
+        return 3
+    return 0
 
 
 def cmd_sweep(args) -> int:
-    report = nonexpansion_sweep(
+    return _report_output(args, nonexpansion_sweep(
         args.count, args.max_n, args.seed, args.max_entry,
-        pair_mode=args.pair_mode, node_budget=_node_budget(args))
-    _report_output(args, report)
-    if report.summary.violations:
-        return 1
-    if any(r.status == "inconclusive" for r in report.rows):
-        return 3
-    return 0
+        pair_mode=args.pair_mode, node_budget=_node_budget(args)))
 
 
 def cmd_probe(args) -> int:
-    report = isometry_probe(
+    return _report_output(args, isometry_probe(
         args.count, args.n, args.seed,
-        max_entry=args.max_entry, node_budget=_node_budget(args))
-    _report_output(args, report)
-    if report.summary.violations:
-        return 1
-    if any(r.status == "inconclusive" for r in report.rows):
-        return 3
-    return 0
+        max_entry=args.max_entry, node_budget=_node_budget(args)))
 
 
 def cmd_table(args) -> int:

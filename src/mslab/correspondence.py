@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InvalidCorrespondenceError
 from .spaces import FiniteMetricSpace

@@ -20,9 +20,12 @@ Feasibility itself is a depth-first search with forward checking:
 variables are f(x) for every x then g(y) for every y, branched in
 decreasing order of point eccentricity, with domains as bitmasks pruned
 after every assignment. Thresholds are compared by candidate rank, so
-the inner loop is pure integer work. Every assignment attempt counts as
-one node against the budget; on exhaustion the best feasible candidate
-seen so far is returned as an upper bound instead of an answer.
+the inner loop is pure integer work. Assigning f(x) := y or g(y) := x
+creates the correspondence pair (x, y), with id x*m + y; one table of
+ranks indexed by two pair ids yields every constraint mask. Every
+assignment attempt counts as one node against the budget; on exhaustion
+the best assignment found so far is returned, and half its distortion
+is an upper bound instead of an answer.
 
 The optimal witness is re-extracted at the optimal threshold with
 variables in plain index order and values tried ascending, which makes
@@ -63,11 +66,11 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class GhResult:
-    """distance = distortion(witness) / 2 whenever status is "exact".
+    """distance = distortion(witness) / 2, whatever the status.
 
     With status "budget_exceeded" the distance is only an upper bound:
-    the least distortion proven reachable before the node budget ran out
-    (the full correspondence is always reachable, so a bound exists).
+    the witness is the last feasible assignment found before the node
+    budget ran out, or the full correspondence if none was.
     """
 
     distance: Fraction
@@ -81,31 +84,28 @@ class _BudgetExhausted(Exception):
 
 
 class _Searcher:
-    """Feasibility machinery shared by all thresholds for one (X, Y)."""
+    """Feasibility machinery shared by all thresholds for one (X, Y).
+
+    Correspondence pair (x, y) has id p = x*m + y, and rk[p][q] is the
+    rank of |d_X(x, x') - d_Y(y, y')| among the candidate values, for
+    q the id of (x', y').
+    """
 
     def __init__(self, x_space: FiniteMetricSpace, y_space: FiniteMetricSpace):
         dx = x_space.d
         dy = y_space.d
         n = self.n = x_space.n
         m = self.m = y_space.n
-        self.dx = dx
-        self.dy = dy
         xvals = {v for row in dx for v in row}
         yvals = {v for row in dy for v in row}
         values = sorted({abs(a - b) for a in xvals for b in yvals})
         self.values = values
         rank = {v: i for i, v in enumerate(values)}
         pair_rank = {(a, b): rank[abs(a - b)] for a in xvals for b in yvals}
-        # rk[i][j][k][l] = rank of |dx[i][j] - dy[k][l]| within values
         self.rk = [
-            [
-                [
-                    [pair_rank[dx[i][j], dy[k][l]] for l in range(m)]
-                    for k in range(m)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
+            [pair_rank[a, b] for a in dx[x] for b in dy[y]]
+            for x in range(n)
+            for y in range(m)
         ]
         ecc_x = [max(row) for row in dx]
         ecc_y = [max(row) for row in dy]
@@ -119,63 +119,37 @@ class _Searcher:
         """M[u][w][val] = allowed values of variable w once u := val.
 
         Variables 0..n-1 are f(x) (values are Y indices), n..n+m-1 are
-        g(y) (values are X indices). Only pairwise constraints exist:
-        each entry encodes |d_X - d_Y| <= candidate[cr] for the pair of
-        correspondence pairs the two assignments create.
+        g(y) (values are X indices). Both f(x) := y and g(y) := x create
+        the pair p = x*m + y, and w may take a value exactly when the
+        pair that creates has rank <= cr against p. So one mask of such
+        pairs per p, kept in x-major and in y-major bit order, holds
+        every column: f(x') reads bits x'*m .. x'*m+m-1 of the first,
+        g(y') bits y'*n .. y'*n+n-1 of the second. The diagonal columns
+        M[u][u] are never read.
         """
         n = self.n
         m = self.m
-        rk = self.rk
         nv = n + m
-        table: list[list] = [[None] * nv for _ in range(nv)]
-        for i in range(n):
-            rki = rk[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                rij = rki[j]
-                col = []
-                for y in range(m):
-                    row = rij[y]
-                    mask = 0
-                    for yp in range(m):
-                        if row[yp] <= cr:
-                            mask |= 1 << yp
-                    col.append(mask)
-                table[i][j] = col
-            for v in range(m):
-                col = []
-                for y in range(m):
-                    mask = 0
-                    for xp in range(n):
-                        if rki[xp][y][v] <= cr:
-                            mask |= 1 << xp
-                    col.append(mask)
-                table[i][n + v] = col
-        for u in range(m):
-            for j in range(n):
-                rkj = rk[j]
-                col = []
-                for x in range(n):
-                    rjx = rkj[x]
-                    mask = 0
-                    for y in range(m):
-                        if rjx[y][u] <= cr:
-                            mask |= 1 << y
-                    col.append(mask)
-                table[n + u][j] = col
-            for v in range(m):
-                if u == v:
-                    continue
-                col = []
-                for x in range(n):
-                    rkx = rk[x]
-                    mask = 0
-                    for xp in range(n):
-                        if rkx[xp][u][v] <= cr:
-                            mask |= 1 << xp
-                    col.append(mask)
-                table[n + u][n + v] = col
+        all_x = (1 << n) - 1
+        all_y = (1 << m) - 1
+        xbit = [1 << q for q in range(n * m)]
+        ybit = [1 << (yp * n + xp) for xp in range(n) for yp in range(m)]
+        table = [[[0] * (m if u < n else n) for _ in range(nv)]
+                 for u in range(nv)]
+        for p, row in enumerate(self.rk):
+            x, y = divmod(p, m)
+            xmask = ymask = 0
+            for q, r in enumerate(row):
+                if r <= cr:
+                    xmask |= xbit[q]
+                    ymask |= ybit[q]
+            f_cols = table[x]
+            g_cols = table[n + y]
+            for xp in range(n):
+                f_cols[xp][y] = g_cols[xp][x] = xmask >> (xp * m) & all_y
+            for yp in range(m):
+                f_cols[n + yp][y] = g_cols[n + yp][x] = (
+                    ymask >> (yp * n) & all_x)
         return table
 
     def search(self, cr: int, order: tuple[int, ...], budget: int):
@@ -229,6 +203,9 @@ class _Searcher:
             found = extend(0)
         finally:
             self.nodes = nodes
+            # extend refers to itself; dropping it frees this probe's
+            # table and domains now instead of at the next gc pass
+            del extend
         return list(assign) if found else None
 
 
@@ -258,7 +235,6 @@ def gh_exact(
     m = searcher.m
     lo = bisect_left(values, abs(x_space.diam() - y_space.diam()))
     hi = len(values) - 1
-    best_idx = hi
     best_assign = None
     try:
         while lo < hi:
@@ -268,7 +244,7 @@ def gh_exact(
                 lo = mid + 1
             else:
                 hi = mid
-                best_idx, best_assign = mid, assign
+                best_assign = assign
         assign = searcher.search(lo, searcher.index_order, node_budget)
         if assign is None:
             raise AssertionError("optimal threshold lost feasibility")
@@ -284,7 +260,7 @@ def gh_exact(
         else:
             witness = full_correspondence(n, m)
         return GhResult(
-            distance=values[best_idx] / 2,
+            distance=distortion(witness, x_space, y_space) / 2,
             witness=witness,
             nodes_explored=searcher.nodes,
             status="budget_exceeded",

@@ -58,16 +58,17 @@ def _directed(d, a_idx, b_idx) -> Fraction:
     return worst
 
 
+def _hausdorff(d, a_idx, b_idx) -> Fraction:
+    return max(_directed(d, a_idx, b_idx), _directed(d, b_idx, a_idx))
+
+
 def hausdorff_distance(
     space: FiniteMetricSpace, a: Subset, b: Subset
 ) -> Fraction:
     """max of the two directed sup-min distances between a and b."""
     _check_subset(space, a)
     _check_subset(space, b)
-    d = space.d
-    ai = a.indices()
-    bi = b.indices()
-    return max(_directed(d, ai, bi), _directed(d, bi, ai))
+    return _hausdorff(space.d, a.indices(), b.indices())
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def build_hyperspace(
         ai = idx[i]
         for j in range(i + 1, count + 1):
             bi = idx[j]
-            h = max(_directed(d, ai, bi), _directed(d, bi, ai))
+            h = _hausdorff(d, ai, bi)
             rows[i - 1][j - 1] = h
             rows[j - 1][i - 1] = h
     metric = validate_matrix(rows, pseudometric=space.pseudometric)
@@ -182,13 +183,13 @@ def subset_to_hyperspace_distance(
     best = None
     for sub in _submasks(y.bits):
         bi = tuple(iter_bits(sub))
-        h = max(_directed(d, ai, bi), _directed(d, bi, ai))
+        h = _hausdorff(d, ai, bi)
         if best is None or h < best:
             best = h
     gm = gamma_map(space, a, y)
     gbits = gm.image_bits(a.bits)
     gi = tuple(iter_bits(gbits))
-    via_gamma = max(_directed(d, ai, gi), _directed(d, gi, ai))
+    via_gamma = _hausdorff(d, ai, gi)
     return best, via_gamma
 
 
@@ -246,7 +247,7 @@ def check_gamma_identities(
                     False, subsets, pairs,
                     f"identity (i) fails at point {a}, subset bits {abits}: "
                     f"{near} != {pull[a]}")
-        h_gamma = max(_directed(d, ai, gi), _directed(d, gi, ai))
+        h_gamma = _hausdorff(d, ai, gi)
         expect = max(pull[a] for a in ai)
         if h_gamma != expect:
             return GammaCheckReport(
@@ -261,7 +262,7 @@ def check_gamma_identities(
         for bbits in _submasks(y.bits):
             pairs += 1
             bi = tuple(iter_bits(bbits))
-            h = max(_directed(d, ai, bi), _directed(d, bi, ai))
+            h = _hausdorff(d, ai, bi)
             if h < h_gamma:
                 return GammaCheckReport(
                     False, subsets, pairs,
@@ -298,7 +299,7 @@ def verify_embedding_theorem(
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for ai in xsubs:
         for bi in ysubs:
-            table[ai, bi] = max(_directed(d, ai, bi), _directed(d, bi, ai))
+            table[ai, bi] = _hausdorff(d, ai, bi)
     sup_x = max(min(table[ai, bi] for bi in ysubs) for ai in xsubs)
     sup_y = max(min(table[ai, bi] for ai in xsubs) for bi in ysubs)
     lhs = max(sup_x, sup_y)

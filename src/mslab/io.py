@@ -61,19 +61,24 @@ def space_from_doc(
 ) -> FiniteMetricSpace:
     if not isinstance(doc, dict) or "d" not in doc:
         raise InvalidParameterError('space document must carry a "d" matrix')
+    rows = doc["d"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows):
+        raise InvalidParameterError('"d" must be a list of lists')
     labels = doc.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise InvalidParameterError('"labels" must be a list')
         labels = tuple(str(x) for x in labels)
     name = doc.get("name")
     if unchecked:
         # test hook: trust the matrix as-is (pseudometric also implied,
         # nothing about the entries is promised)
-        parsed = tuple(
-            tuple(parse_rational(v) for v in row) for row in doc["d"])
+        parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
         return FiniteMetricSpace(
             parsed, pseudometric=True, labels=labels, name=name)
     return validate_matrix(
-        doc["d"], pseudometric=pseudometric, labels=labels, name=name)
+        rows, pseudometric=pseudometric, labels=labels, name=name)
 
 
 def load_space(
@@ -82,7 +87,8 @@ def load_space(
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, undecodable bytes, over-long integer literals
             raise InvalidParameterError(f"{path}: not valid JSON: {exc}") from None
     return space_from_doc(doc, pseudometric=pseudometric, unchecked=unchecked)
 

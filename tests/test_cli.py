@@ -1,10 +1,34 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab.cli import main
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+SMALL_MATRICES = st.lists(
+    st.lists(st.integers(-1, 4) | st.sampled_from(["1/2", "3/1", "x"]),
+             max_size=4),
+    max_size=4)
+SPACE_DOCS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {"d": JSON_VALUES | SMALL_MATRICES},
+        optional={"labels": JSON_VALUES, "name": JSON_VALUES}),
+)
 
 
 @pytest.fixture
@@ -43,6 +67,35 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"d": 5}, {"d": [5]}, {"d": "ab"}, {"d": {"a": 1}},
+        {"d": [[0]], "labels": 5}, {"d": [[0]], "labels": "a"},
+    ])
+    def test_malformed_shape_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_bytes_exit_2(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", "--input", str(path)]) == 2
+
+    @given(doc=SPACE_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_exits_0_or_2(self, doc):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["validate", "--input", path])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestGen:

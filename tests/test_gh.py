@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from mslab import (
     random_space,
     simplex,
 )
+from mslab.gh import _BudgetExhausted, _Searcher
 
 from helpers import (
     are_isometric,
@@ -86,6 +88,14 @@ class TestGhExact:
         assert capped.distance >= full.distance
         assert (distortion(capped.witness, x, y)
                 == 2 * capped.distance)
+
+    def test_budget_bound_is_half_witness_distortion(self):
+        x = build_hyperspace(random_space(3, 3, 9)).metric
+        y = build_hyperspace(random_space(3, 1003, 9)).metric
+        capped = gh_exact(x, y, node_budget=20)
+        assert capped.status == "budget_exceeded"
+        assert distortion(capped.witness, x, y) == 1
+        assert capped.distance == Fraction(1, 2)
 
     def test_bad_budget(self):
         with pytest.raises(InvalidParameterError):
@@ -321,3 +331,130 @@ class TestHyperspaceNonexpansion:
         space = random_space(4, 800, 9)
         h = build_hyperspace(space)
         assert diam_eps(h.metric) == diam_eps(space)
+
+
+def _lift(space):
+    return build_hyperspace(space).metric
+
+
+def _reference_masks(x, y, limit):
+    """M[u][w][val] straight from the definition, diagonal left out.
+
+    Variable u < n is f(u) and u := val creates the pair (u, val); for
+    u >= n it is g(u - n), creating (val, u - n).
+    """
+    n, m = x.n, y.n
+
+    def pair(u, val):
+        return (u, val) if u < n else (val, u - n)
+
+    def width(u):
+        return m if u < n else n
+
+    table = {}
+    for u in range(n + m):
+        for w in range(n + m):
+            if u == w:
+                continue
+            col = []
+            for val in range(width(u)):
+                px, py = pair(u, val)
+                mask = 0
+                for wval in range(width(w)):
+                    qx, qy = pair(w, wval)
+                    if abs(x.d[px][qx] - y.d[py][qy]) <= limit:
+                        mask |= 1 << wval
+                col.append(mask)
+            table[u, w] = col
+    return table
+
+
+MASK_PAIRS = [
+    (random_space(3, 71, 9), random_space(3, 72, 9)),
+    (random_space(4, 73, 9), random_space(2, 74, 9)),
+    (random_space(1, 75, 9), random_space(3, 76, 9)),
+    (random_space(2, 77, 9), random_space(1, 78, 9)),
+    (random_space(1, 79, 9), random_space(1, 80, 9)),
+    (scale(random_space(3, 81, 9), Fraction(3, 2)), random_space(2, 82, 9)),
+    (_lift(random_space(2, 83, 9)), _lift(random_space(3, 84, 9))),
+    (_lift(random_space(1, 85, 9)), _lift(random_space(2, 86, 9))),
+]
+
+
+class TestSearcher:
+    @pytest.mark.parametrize("x, y", MASK_PAIRS)
+    def test_mask_table_matches_definition(self, x, y):
+        searcher = _Searcher(x, y)
+        nv = x.n + y.n
+        for cr, limit in enumerate(searcher.values):
+            table = searcher._mask_table(cr)
+            got = {(u, w): table[u][w]
+                   for u in range(nv) for w in range(nv) if u != w}
+            assert got == _reference_masks(x, y, limit), cr
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        x = _lift(random_space(3, 23, 9))
+        y = _lift(random_space(3, 24, 9))
+        searcher = _Searcher(x, y)
+        top = len(searcher.values) - 1
+        gc.collect()
+        gc.disable()
+        try:
+            assert searcher.search(top, searcher.ecc_order, 10**6)
+            assert searcher.search(0, searcher.ecc_order, 10**6) is None
+            try:
+                searcher.search(top // 2, searcher.ecc_order, 1)
+            except _BudgetExhausted:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# (lift?, n, seed, max_entry) for X and Y, then the expected
+# (distance, status, nodes_explored, witness pairs). Node counts are
+# deterministic, so any change to pruning or branching order shows here.
+GOLDEN = [
+    ((False, 3, 1, 9, 3, 2, 9), ("1/2", "exact", 30,
+      ((0, 1), (1, 2), (2, 0)))),
+    ((False, 4, 3, 9, 4, 4, 9), ("1", "exact", 42,
+      ((0, 0), (1, 3), (2, 0), (3, 1), (3, 2)))),
+    ((False, 5, 5, 9, 3, 6, 9), ("3/2", "exact", 40,
+      ((0, 0), (1, 0), (2, 0), (3, 1), (3, 2), (4, 1)))),
+    ((False, 2, 7, 9, 5, 8, 9), ("2", "exact", 44,
+      ((0, 0), (0, 3), (0, 4), (1, 1), (1, 2)))),
+    ((False, 6, 9, 9, 6, 10, 9), ("5/2", "exact", 3495,
+      ((0, 1), (1, 1), (2, 0), (3, 1), (3, 3), (4, 2), (4, 4), (5, 3),
+       (5, 5)))),
+    ((False, 1, 11, 9, 4, 12, 9), ("2", "exact", 5,
+      ((0, 0), (0, 1), (0, 2), (0, 3)))),
+    ((False, 7, 13, 20, 7, 14, 20), ("3/2", "exact", 100,
+      ((0, 4), (1, 2), (2, 2), (2, 3), (2, 5), (3, 5), (4, 0), (5, 1),
+       (6, 6)))),
+    ((True, 2, 21, 9, 3, 22, 9), ("3/2", "exact", 50,
+      ((0, 0), (0, 3), (0, 4), (1, 1), (2, 2), (2, 5), (2, 6)))),
+    ((True, 3, 23, 9, 3, 24, 9), ("3/2", "exact", 50,
+      ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (3, 3), (4, 4), (4, 5),
+       (4, 6), (5, 4), (6, 4)))),
+    ((True, 3, 27, 5, 3, 28, 5), ("3/2", "exact", 148,
+      ((0, 0), (0, 3), (0, 4), (1, 1), (2, 2), (2, 5), (2, 6), (3, 3),
+       (4, 3), (5, 3), (6, 2)))),
+    ((True, 4, 31, 5, 3, 32, 5), ("1", "exact", 132,
+      ((0, 3), (1, 0), (2, 4), (3, 1), (4, 5), (5, 2), (6, 6), (7, 1),
+       (8, 5), (9, 2), (10, 6), (11, 1), (12, 5), (13, 2), (14, 6)))),
+    ((True, 4, 33, 5, 4, 34, 5), ("1", "exact", 159,
+      tuple((i, i) for i in range(15)))),
+]
+
+
+@pytest.mark.parametrize("spec, expected", GOLDEN)
+def test_golden_answers(spec, expected):
+    lift, nx, sx, ex, ny, sy, ey = spec
+    x = random_space(nx, sx, ex)
+    y = random_space(ny, sy, ey)
+    if lift:
+        x, y = _lift(x), _lift(y)
+    r = gh_exact(x, y)
+    got = (r.distance, r.status, r.nodes_explored, r.witness.sorted_pairs())
+    distance, status, nodes, pairs = expected
+    assert got == (Fraction(distance), status, nodes, pairs)
