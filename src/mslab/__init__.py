@@ -7,7 +7,6 @@ closed forms for simplex-shaped spaces and experiment drivers.
 
 from .correspondence import (
     Correspondence,
-    Realization,
     distortion,
     full_correspondence,
     glue_realization,
@@ -18,11 +17,9 @@ from .errors import (
     DiameterExceedsTError,
     EmptySubsetError,
     EmptyTupleError,
-    InsufficientSamplesError,
     InvalidCorrespondenceError,
     InvalidParameterError,
     LengthMismatchError,
-    MetricValidationError,
     MslabError,
     NegativeDistanceError,
     NonzeroDiagonalError,
@@ -33,10 +30,6 @@ from .errors import (
     ZeroOffDiagonalError,
 )
 from .experiments import (
-    SweepReport,
-    SweepRow,
-    SweepSummary,
-    TableReport,
     is_general_position,
     isometry_probe,
     nonexpansion_sweep,
@@ -45,7 +38,6 @@ from .experiments import (
 )
 from .gh import (
     DEFAULT_NODE_BUDGET,
-    GhResult,
     gh_bounds,
     gh_exact,
     gh_one_point,
@@ -55,9 +47,6 @@ from .gh import (
     induced_correspondence,
 )
 from .hyperspace import (
-    GammaCheckReport,
-    GammaMap,
-    Hyperspace,
     build_hyperspace,
     check_gamma_identities,
     gamma_map,
@@ -73,7 +62,6 @@ from .spaces import (
     diam_eps,
     is_delta_connected,
     random_space,
-    shortest_path_closure,
     simplex,
     subset_gap,
     validate_matrix,
@@ -89,26 +77,15 @@ __all__ = [
     "EmptySubsetError",
     "EmptyTupleError",
     "FiniteMetricSpace",
-    "GammaCheckReport",
-    "GammaMap",
-    "GhResult",
-    "Hyperspace",
-    "InsufficientSamplesError",
     "InvalidCorrespondenceError",
     "InvalidParameterError",
     "LengthMismatchError",
-    "MetricValidationError",
     "MslabError",
     "NegativeDistanceError",
     "NonzeroDiagonalError",
     "NotDeltaConnectedError",
-    "Realization",
     "SizeCapExceededError",
     "Subset",
-    "SweepReport",
-    "SweepRow",
-    "SweepSummary",
-    "TableReport",
     "TriangleViolationError",
     "UnsupportedCaseError",
     "ZeroOffDiagonalError",
@@ -137,7 +114,6 @@ __all__ = [
     "projection_lipschitz_check",
     "random_general_position_space",
     "random_space",
-    "shortest_path_closure",
     "simplex",
     "simplex_preservation_table",
     "subset_gap",

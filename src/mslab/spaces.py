@@ -15,9 +15,11 @@ Main entry points:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -91,7 +93,9 @@ def validate_matrix(
 
     Scans in a fixed order (shape, diagonal, symmetry, sign, separation,
     triangle) and raises the error for the first violated axiom. With
-    ``pseudometric=True`` zero off-diagonal entries are tolerated.
+    ``pseudometric=True`` zero off-diagonal entries are tolerated. The
+    axioms are checked on a copy of the matrix scaled to integers by the
+    common denominator of its entries; the space keeps the Fractions.
     """
     parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
     n = len(parsed)
@@ -101,33 +105,38 @@ def validate_matrix(
         if len(row) != n:
             raise InvalidParameterError(
                 f"row {i} has length {len(row)}, expected {n}")
+    den = math.lcm(*{x.denominator for row in parsed for x in row})
+    ints = [[x.numerator * (den // x.denominator) for x in row]
+            for row in parsed]
     for i in range(n):
-        if parsed[i][i] != 0:
+        if ints[i][i] != 0:
             raise NonzeroDiagonalError(f"d[{i}][{i}] = {parsed[i][i]}")
     for i in range(n):
         for j in range(i + 1, n):
-            if parsed[i][j] != parsed[j][i]:
+            if ints[i][j] != ints[j][i]:
                 raise AsymmetricMatrixError(
                     f"d[{i}][{j}] = {parsed[i][j]} but d[{j}][{i}] = {parsed[j][i]}")
     for i in range(n):
         for j in range(i + 1, n):
-            if parsed[i][j] < 0:
+            if ints[i][j] < 0:
                 raise NegativeDistanceError(f"d[{i}][{j}] = {parsed[i][j]}")
     if not pseudometric:
         for i in range(n):
             for j in range(i + 1, n):
-                if parsed[i][j] == 0:
+                if ints[i][j] == 0:
                     raise ZeroOffDiagonalError(
                         f"d[{i}][{j}] = 0 for distinct points "
                         "(pass pseudometric=True to allow)")
     for i in range(n):
+        ri = ints[i]
         for j in range(i + 1, n):
-            dij = parsed[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > parsed[i][k] + parsed[k][j]:
-                    raise TriangleViolationError(i, j, k)
+            rj = ints[j]
+            # k = i and k = j give exactly d(i, j) (zero diagonal and symmetry
+            # are checked above), so the min trips only on a violating k.
+            if min(map(add, ri, rj)) < ri[j]:
+                for k in range(n):
+                    if ri[j] > ri[k] + rj[k]:
+                        raise TriangleViolationError(i, j, k)
     fixed_labels: tuple[str, ...] | None = None
     if labels is not None:
         fixed_labels = tuple(str(x) for x in labels)

@@ -10,7 +10,18 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from mslab import FiniteMetricSpace, random_space, validate_matrix
+from mslab import (
+    AsymmetricMatrixError,
+    FiniteMetricSpace,
+    InvalidParameterError,
+    NegativeDistanceError,
+    NonzeroDiagonalError,
+    TriangleViolationError,
+    ZeroOffDiagonalError,
+    parse_rational,
+    random_space,
+    validate_matrix,
+)
 
 
 def chain(k: int, step: Fraction = Fraction(1)) -> FiniteMetricSpace:
@@ -82,3 +93,65 @@ def hausdorff_brute(space, a_indices, b_indices) -> Fraction:
 
 def seeded_space(n: int, seed: int, max_entry: int = 9) -> FiniteMetricSpace:
     return random_space(n, seed, max_entry)
+
+
+def reference_validate(rows, *, pseudometric=False, labels=None, name=None):
+    """validate_matrix spelled out on Fractions, one triple at a time.
+
+    Same scan order, errors and messages as the package's version, with
+    the triangle inequality tried for every (i, j, k) directly.
+    """
+    parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    n = len(parsed)
+    if n == 0:
+        raise InvalidParameterError("a metric space needs at least one point")
+    for i, row in enumerate(parsed):
+        if len(row) != n:
+            raise InvalidParameterError(
+                f"row {i} has length {len(row)}, expected {n}")
+    for i in range(n):
+        if parsed[i][i] != 0:
+            raise NonzeroDiagonalError(f"d[{i}][{i}] = {parsed[i][i]}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if parsed[i][j] != parsed[j][i]:
+                raise AsymmetricMatrixError(
+                    f"d[{i}][{j}] = {parsed[i][j]} but d[{j}][{i}] = {parsed[j][i]}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if parsed[i][j] < 0:
+                raise NegativeDistanceError(f"d[{i}][{j}] = {parsed[i][j]}")
+    if not pseudometric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if parsed[i][j] == 0:
+                    raise ZeroOffDiagonalError(
+                        f"d[{i}][{j}] = 0 for distinct points "
+                        "(pass pseudometric=True to allow)")
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = parsed[i][j]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if dij > parsed[i][k] + parsed[k][j]:
+                    raise TriangleViolationError(i, j, k)
+    fixed_labels: tuple[str, ...] | None = None
+    if labels is not None:
+        fixed_labels = tuple(str(x) for x in labels)
+        if len(fixed_labels) != n:
+            raise InvalidParameterError(
+                f"{len(fixed_labels)} labels for {n} points")
+    return FiniteMetricSpace(
+        parsed, pseudometric=pseudometric, labels=fixed_labels, name=name)
+
+
+def outcome(validate, rows, **kwargs):
+    """What a validator does on rows: ("ok", d) or (class, message, triple)."""
+    try:
+        space = validate(rows, **kwargs)
+    except Exception as exc:
+        triple = (exc.i, exc.j, exc.k) if isinstance(
+            exc, TriangleViolationError) else None
+        return type(exc), str(exc), triple
+    return "ok", space.d

@@ -10,12 +10,14 @@ from mslab import (
     LengthMismatchError,
     SizeCapExceededError,
     Subset,
+    TriangleViolationError,
     build_hyperspace,
     check_gamma_identities,
     diam_eps,
     gamma_map,
     hausdorff_distance,
     projection_lipschitz_check,
+    random_general_position_space,
     random_space,
     simplex,
     subset_to_hyperspace_distance,
@@ -23,7 +25,7 @@ from mslab import (
     verify_embedding_theorem,
 )
 
-from helpers import hausdorff_brute, line013
+from helpers import hausdorff_brute, line013, outcome, reference_validate
 
 
 def subsets_of(n: int):
@@ -108,6 +110,34 @@ class TestBuildHyperspace:
         space = validate_matrix([[0, 0], [0, 0]], pseudometric=True)
         h = build_hyperspace(space)
         assert h.metric.pseudometric
+
+
+class TestLiftedValidationAtScale:
+    """The lifted-matrix check on 127 and 63 members, and a planted break."""
+
+    @pytest.mark.parametrize("space", [
+        random_space(7, 3, 9),
+        random_general_position_space(6, 1),
+    ], ids=["int7", "frac6"])
+    def test_entries_and_planted_violation(self, space):
+        h = build_hyperspace(space)
+        members = [m.indices() for m in h.members]
+        d = h.metric.d
+        size = len(d)
+        assert size == (1 << space.n) - 1
+        for a in range(size):
+            for b in range(size):
+                assert d[a][b] == hausdorff_brute(space, members[a], members[b])
+        # Raising one entry past its shortest two-leg detour breaks only
+        # that pair's triangle, after thousands of clean pairs in scan order
+        # (row 20, not later, keeps the Fraction oracle's scan short).
+        i, j = 20, size - 2
+        detour = min(d[i][k] + d[k][j] for k in range(size) if k not in (i, j))
+        rows = [list(row) for row in d]
+        rows[i][j] = rows[j][i] = detour + Fraction(1, 7)
+        got = outcome(validate_matrix, rows)
+        assert got == outcome(reference_validate, rows)
+        assert got[0] is TriangleViolationError and got[2][:2] == (i, j)
 
 
 class TestGammaMap:

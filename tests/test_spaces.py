@@ -23,8 +23,9 @@ from mslab import (
     subset_gap,
     validate_matrix,
 )
+from mslab.spaces import shortest_path_closure
 
-from helpers import chain, line013, scale
+from helpers import chain, line013, outcome, reference_validate, scale
 
 
 class TestParseRational:
@@ -106,6 +107,63 @@ class TestValidateMatrix:
     def test_labels_length_checked(self):
         with pytest.raises(InvalidParameterError):
             validate_matrix([[0, 1], [1, 0]], labels=["a"])
+
+
+@st.composite
+def raw_matrices(draw):
+    """Small matrices in every written form, valid or broken in any axiom.
+
+    Symmetric draws over mixed denominators, optionally closed under
+    shortest paths (a metric, or a pseudometric when a zero is drawn),
+    then up to three edits: a nonzero diagonal, an asymmetric or a
+    negative entry, or a symmetric change that may break a triangle.
+    Each entry is written as a Fraction, an int or a "p/q" string.
+    """
+    n = draw(st.integers(1, 7))
+    dens = st.sampled_from([1, 2, 3, 4, 6, 35])
+
+    def value(low):
+        return Fraction(draw(st.integers(low, 12)), draw(dens))
+
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = value(0)
+    if draw(st.booleans()):
+        shortest_path_closure(m)
+    edits = st.sampled_from(["diagonal", "one-sided"] + ["symmetric"] * 4)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        kind = draw(edits)
+        i = draw(st.integers(0, n - 1))
+        if kind == "diagonal":
+            m[i][i] = value(1)
+            continue
+        j = (i + draw(st.integers(1, n - 1))) % n
+        m[i][j] = value(-3)
+        if kind == "symmetric":
+            m[j][i] = m[i][j]
+
+    def written(x):
+        form = draw(st.sampled_from(["fraction", "int", "string"]))
+        if form == "int" and x.denominator == 1:
+            return int(x)
+        if form == "string":
+            c = draw(st.integers(1, 3))
+            return f"{x.numerator * c}/{x.denominator * c}"
+        return x
+
+    return [[written(x) for x in row] for row in m]
+
+
+class TestValidateMatrixAgainstReference:
+    """The integer scan agrees with the Fraction triple loop it replaced."""
+
+    @given(rows=raw_matrices(), pseudometric=st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_same_outcome_as_reference(self, rows, pseudometric):
+        got = outcome(validate_matrix, rows, pseudometric=pseudometric)
+        want = outcome(reference_validate, rows, pseudometric=pseudometric)
+        assert got == want
 
 
 class TestSpaceBasics:
