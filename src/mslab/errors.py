@@ -24,7 +24,6 @@ __all__ = [
     "UnsupportedCaseError",
     "NotDeltaConnectedError",
     "DiameterExceedsTError",
-    "InsufficientSamplesError",
 ]
 
 
@@ -95,8 +94,4 @@ class NotDeltaConnectedError(MslabError):
 
 
 class DiameterExceedsTError(MslabError):
-    pass
-
-
-class InsufficientSamplesError(MslabError):
     pass

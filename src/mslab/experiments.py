@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InsufficientSamplesError, InvalidParameterError
+from .errors import InvalidParameterError
 from .gh import (
     DEFAULT_NODE_BUDGET,
     gh_exact,
@@ -24,7 +24,6 @@ from .rational import parse_rational
 from .spaces import (
     FiniteMetricSpace,
     random_space,
-    shortest_path_closure,
     simplex,
     validate_matrix,
 )
@@ -65,40 +64,29 @@ def random_general_position_space(
     n: int,
     seed: int,
     max_entry: int = 10,
-    retry_cap: int = 200,
 ) -> FiniteMetricSpace:
-    """Seeded general-position sample, or InsufficientSamplesError.
+    """Seeded general-position sample; a pure function of its arguments.
 
-    Integer entries are jittered by small, pairwise-distinct rationals
-    (one per matrix cell) before the shortest-path repair, which makes
-    ties measure-zero-like rare; repaired matrices that still land on a
-    tie or a degenerate triangle are rejected and redrawn, up to
-    retry_cap attempts.
+    Off-diagonal cell number k (k = 1..pairs, row by row) gets an integer
+    part drawn from [lo, max_entry], lo = (max_entry + 2) // 2, plus the
+    jitter k / (pairs + 1). The jitters are distinct and lie in (0, 1),
+    so all entries are distinct. Any two entries sum to more than
+    2*lo >= max_entry + 1, which exceeds every entry, so every triangle
+    is strict.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
     if max_entry < 1:
         raise InvalidParameterError(
             f"max_entry must be positive, got {max_entry}")
-    npairs = n * (n - 1) // 2
-    denom = 64 * (npairs + 1)
-    for attempt in range(retry_cap):
-        rng = random.Random(f"mslab.gp:{n}:{seed}:{max_entry}:{attempt}")
-        m: list[list[Fraction]] = [
-            [Fraction(0)] * n for _ in range(n)]
-        tick = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                tick += 1
-                v = Fraction(rng.randint(1, max_entry)) + Fraction(tick, denom)
-                m[i][j] = m[j][i] = v
-        shortest_path_closure(m)
-        space = validate_matrix(m)
-        if is_general_position(space):
-            return space
-    raise InsufficientSamplesError(
-        f"no general-position sample in {retry_cap} attempts "
-        f"(n={n}, seed={seed})")
+    lo = (max_entry + 2) // 2
+    rng = random.Random(f"mslab.gp:{n}:{seed}:{max_entry}")
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k, (i, j) in enumerate(cells, 1):
+        v = rng.randint(lo, max_entry) + Fraction(k, len(cells) + 1)
+        m[i][j] = m[j][i] = v
+    return validate_matrix(m)
 
 
 @dataclass(frozen=True)
@@ -136,6 +124,9 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     summary: SweepSummary
     largest_gap_witness: ProbeWitness | None = None
+
+
+_Pair = tuple[FiniteMetricSpace, FiniteMetricSpace]
 
 
 def _summarize(rows: Sequence[SweepRow]) -> SweepSummary:
@@ -180,6 +171,15 @@ def _pair_row(
     )
 
 
+def _pair_rows(
+    count: int, seed: int, node_budget: int, draw: Callable[[int], _Pair]
+) -> tuple[SweepRow, ...]:
+    """One row per pair id; draw(sx) returns the pair seeded by sx."""
+    seeds = [seed * 1_000_003 + 2 * pair_id for pair_id in range(count)]
+    return tuple(_pair_row(pair_id, sx, *draw(sx), node_budget)
+                 for pair_id, sx in enumerate(seeds))
+
+
 def nonexpansion_sweep(
     count: int,
     max_n: int,
@@ -209,21 +209,17 @@ def nonexpansion_sweep(
         raise InvalidParameterError(f"unknown pair mode {pair_mode!r}")
     size_rng = random.Random(
         f"mslab.sweep:{seed}:{max_n}:{max_entry}:{pair_mode}")
-    rows = []
-    for pair_id in range(count):
-        sx = seed * 1_000_003 + 2 * pair_id
-        sy = sx + 1
+
+    def draw(sx: int) -> _Pair:
         n_x = size_rng.randint(1, max_n)
         n_y = size_rng.randint(1, max_n)
-        if pair_mode == "one_point":
-            x = simplex(1, 1)
-        else:
-            x = random_space(n_x, sx, max_entry)
-        if pair_mode == "identical":
-            y = x
-        else:
-            y = random_space(n_y, sy, max_entry)
-        rows.append(_pair_row(pair_id, sx, x, y, node_budget))
+        x = (simplex(1, 1) if pair_mode == "one_point"
+             else random_space(n_x, sx, max_entry))
+        y = (x if pair_mode == "identical"
+             else random_space(n_y, sx + 1, max_entry))
+        return x, y
+
+    rows = _pair_rows(count, seed, node_budget, draw)
     return SweepReport(
         kind="nonexpansion_sweep",
         params={
@@ -233,7 +229,7 @@ def nonexpansion_sweep(
             "max_entry": max_entry,
             "pair_mode": pair_mode,
         },
-        rows=tuple(rows),
+        rows=rows,
         summary=_summarize(rows),
     )
 
@@ -250,8 +246,8 @@ def isometry_probe(
 
     Evidence gathering only: the report never asserts that gaps vanish,
     it just records the exact minimum and maximum gap plus the pair
-    achieving the largest one. Pairs whose sampler exhausts its retry
-    cap are skipped; if nothing survives, InsufficientSamplesError.
+    achieving the largest one (the first such among conclusive rows).
+    Every pair yields one row.
     """
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
@@ -259,26 +255,18 @@ def isometry_probe(
         raise InvalidParameterError(
             "n must be between 1 and 3 so hyperspace-level exact solving "
             "stays cheap")
-    rows = []
-    largest: ProbeWitness | None = None
-    largest_gap: Fraction | None = None
-    for pair_id in range(count):
-        sx = seed * 1_000_003 + 2 * pair_id
-        sy = sx + 1
-        try:
-            x = random_general_position_space(n, sx, max_entry)
-            y = random_general_position_space(n, sy, max_entry)
-        except InsufficientSamplesError:
-            continue
-        row = _pair_row(pair_id, sx, x, y, node_budget)
-        rows.append(row)
-        if row.status != "inconclusive":
-            if largest_gap is None or row.gap > largest_gap:
-                largest_gap = row.gap
-                largest = ProbeWitness(pair_id=pair_id, x=x, y=y)
-    if not rows:
-        raise InsufficientSamplesError(
-            "general-position filtering left no pairs")
+
+    def draw(sx: int) -> _Pair:
+        return (random_general_position_space(n, sx, max_entry),
+                random_general_position_space(n, sx + 1, max_entry))
+
+    rows = _pair_rows(count, seed, node_budget, draw)
+    # max keeps the first of equal gaps; the sampler is pure, so the
+    # row's seed re-draws its pair
+    best = max((r for r in rows if r.status != "inconclusive"),
+               key=lambda r: r.gap, default=None)
+    largest = None if best is None else ProbeWitness(
+        best.pair_id, *draw(best.seed))
     return SweepReport(
         kind="isometry_probe",
         params={
@@ -287,7 +275,7 @@ def isometry_probe(
             "seed": seed,
             "max_entry": max_entry,
         },
-        rows=tuple(rows),
+        rows=rows,
         summary=_summarize(rows),
         largest_gap_witness=largest,
     )

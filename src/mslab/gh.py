@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# The search recurses once per variable (n + m); 800 stays well below
+# Python's default limit of 1000 frames, leaving room for the caller's stack.
+MAX_SEARCH_VARIABLES = 800
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,9 @@ def gh_exact(
     """
     if node_budget < 1:
         raise InvalidParameterError("node budget must be positive")
+    if x_space.n + y_space.n > MAX_SEARCH_VARIABLES:
+        raise SizeCapExceededError(
+            f"exact search takes at most {MAX_SEARCH_VARIABLES} points in all")
     searcher = _Searcher(x_space, y_space)
     values = searcher.values
     n = searcher.n

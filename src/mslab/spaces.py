@@ -36,6 +36,7 @@ from .rational import parse_rational
 __all__ = [
     "FiniteMetricSpace",
     "Subset",
+    "parse_square_matrix",
     "validate_matrix",
     "simplex",
     "diam_eps",
@@ -82,6 +83,21 @@ class FiniteMetricSpace:
         return f"<FiniteMetricSpace n={self.n}{flag}{tag}>"
 
 
+def parse_square_matrix(
+    rows: Sequence[Sequence[int | str | Fraction]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Parse every entry, then require a nonempty square shape."""
+    parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    n = len(parsed)
+    if n == 0:
+        raise InvalidParameterError("a metric space needs at least one point")
+    for i, row in enumerate(parsed):
+        if len(row) != n:
+            raise InvalidParameterError(
+                f"row {i} has length {len(row)}, expected {n}")
+    return parsed
+
+
 def validate_matrix(
     rows: Sequence[Sequence[int | str | Fraction]],
     *,
@@ -97,14 +113,8 @@ def validate_matrix(
     axioms are checked on a copy of the matrix scaled to integers by the
     common denominator of its entries; the space keeps the Fractions.
     """
-    parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    parsed = parse_square_matrix(rows)
     n = len(parsed)
-    if n == 0:
-        raise InvalidParameterError("a metric space needs at least one point")
-    for i, row in enumerate(parsed):
-        if len(row) != n:
-            raise InvalidParameterError(
-                f"row {i} has length {len(row)}, expected {n}")
     den = math.lcm(*{x.denominator for row in parsed for x in row})
     ints = [[x.numerator * (den // x.denominator) for x in row]
             for row in parsed]

@@ -98,6 +98,22 @@ class TestValidate:
         assert "Traceback" not in err.getvalue()
 
 
+    @given(doc=SPACE_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_unchecked_gamma_exits_0_1_or_2(self, doc):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["verify-gamma", "--z", path,
+                             "--x", "0", "--y", "1", "--unchecked"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestGen:
     def test_reproducible(self, tmp_path, capsys):
         assert main(["gen", "--n", "3", "--seed", "5"]) == 0
@@ -150,6 +166,13 @@ class TestGh:
     def test_bad_env_value(self, line_file, pair_file, monkeypatch):
         monkeypatch.setenv("MSLAB_NODE_BUDGET", "many")
         assert main(["gh", "--a", line_file, "--b", pair_file]) == 2
+
+    def test_too_many_points_exit_2(self, line_file, pair_file, monkeypatch,
+                                    capsys):
+        # the real cap is 800 points; lowering it spares an 800-point file
+        monkeypatch.setattr("mslab.gh.MAX_SEARCH_VARIABLES", 4)
+        assert main(["gh", "--a", line_file, "--b", pair_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHyperspace:
@@ -221,6 +244,14 @@ class TestVerify:
                      "--x", "0", "--y", "1", "--unchecked"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify-gamma", "verify-embedding"])
+    def test_unchecked_ragged_matrix_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "rag.json"
+        path.write_text(json.dumps({"d": [[0], [1, 0]]}))
+        assert main([command, "--z", str(path), "--x", "0", "--y", "1",
+                     "--unchecked"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_without_unchecked_same_file_exits_2(self, bad_file):
         assert main(["verify-gamma", "--z", bad_file,

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     InvalidParameterError,
@@ -38,6 +40,18 @@ class TestGeneralPosition:
             space = random_general_position_space(3, seed)
             assert is_general_position(space)
             validate_matrix(space.d)
+
+    @given(n=st.integers(1, 8), seed=st.integers(),
+           max_entry=st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_sampler_always_returns_a_general_position_space(
+            self, n, seed, max_entry):
+        space = random_general_position_space(n, seed, max_entry)
+        assert space.n == n
+        assert is_general_position(space)
+        assert validate_matrix(space.d) == space
+        assert all(v < max_entry + 1 for row in space.d for v in row)
+        assert random_general_position_space(n, seed, max_entry) == space
 
     def test_sampler_deterministic(self):
         assert (random_general_position_space(3, 4)
@@ -92,7 +106,7 @@ class TestIsometryProbe:
     def test_runs_and_reports(self):
         report = isometry_probe(6, 3, 9)
         assert report.kind == "isometry_probe"
-        assert len(report.rows) >= 1
+        assert len(report.rows) == 6
         assert report.summary.violations == 0
 
     def test_gap_zero_rows_have_isometric_witness_shape(self):
@@ -104,6 +118,17 @@ class TestIsometryProbe:
         report = isometry_probe(6, 3, 9)
         if any(row.gap > 0 for row in report.rows):
             assert report.largest_gap_witness is not None
+
+    def test_largest_gap_witness_is_redrawn_from_its_row_seed(self):
+        report = isometry_probe(6, 3, 9)
+        w = report.largest_gap_witness
+        conclusive = [r for r in report.rows if r.status != "inconclusive"]
+        first_max = next(r for r in conclusive
+                         if r.gap == report.summary.max_gap)
+        assert w.pair_id == first_max.pair_id
+        row = report.rows[w.pair_id]
+        assert w.x == random_general_position_space(3, row.seed, 10)
+        assert w.y == random_general_position_space(3, row.seed + 1, 10)
 
     def test_witness_spaces_not_isometric_when_gap_positive(self):
         report = isometry_probe(10, 3, 47)

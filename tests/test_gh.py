@@ -10,6 +10,7 @@ from mslab import (
     DiameterExceedsTError,
     InvalidParameterError,
     NotDeltaConnectedError,
+    SizeCapExceededError,
     UnsupportedCaseError,
     build_hyperspace,
     diam_eps,
@@ -100,6 +101,16 @@ class TestGhExact:
     def test_bad_budget(self):
         with pytest.raises(InvalidParameterError):
             gh_exact(line013(), line013(), node_budget=0)
+
+    def test_too_many_points_raise_before_the_search(self):
+        # the search recurses once per point; 801 + 1 points exceed the cap
+        with pytest.raises(SizeCapExceededError):
+            gh_exact(simplex(801, 1), simplex(1, 1))
+
+    def test_search_at_the_point_cap_does_not_overflow_the_stack(self):
+        result = gh_exact(simplex(799, 1), simplex(1, 1))
+        assert result.distance == Fraction(1, 2)
+        assert result.status == "exact"
 
     @given(sx=st.integers(0, 40), sy=st.integers(0, 40))
     @settings(max_examples=30, deadline=None)

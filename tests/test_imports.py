@@ -1,11 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or exports a
+name it does not define.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree: every name bound by a module-level import must be read somewhere
-in the module or be re-exported through ``__all__``.
+in the module or be re-exported through ``__all__``. Each name listed in
+a module's ``__all__`` must resolve on the imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    name = "mslab" if path.stem == "__init__" else f"mslab.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ())
+            if not hasattr(module, n)] == []
