@@ -22,6 +22,7 @@ from .experiments import (
 )
 from .gh import (
     DEFAULT_NODE_BUDGET,
+    check_search_size,
     gh_exact,
     gh_one_point,
     gh_simplex_simplex,
@@ -29,6 +30,7 @@ from .gh import (
     gh_simplex_vs_finite,
 )
 from .hyperspace import (
+    DEFAULT_SIZE_CAP,
     build_hyperspace,
     check_gamma_identities,
     hausdorff_distance,
@@ -36,7 +38,7 @@ from .hyperspace import (
     verify_embedding_theorem,
 )
 from .rational import format_rational, parse_rational
-from .spaces import Subset, diam_eps, random_space
+from .spaces import Subset, diam_eps, random_space, validate_matrix
 
 ENV_NODE_BUDGET = "MSLAB_NODE_BUDGET"
 DEFAULT_SEED = 0
@@ -112,8 +114,12 @@ def cmd_hausdorff(args) -> int:
 
 
 def cmd_gh(args) -> int:
-    a = mio.load_space(args.a, pseudometric=args.pseudometric)
-    b = mio.load_space(args.b, pseudometric=args.pseudometric)
+    # the point cap is checked on the parsed shapes, before the O(n^3)
+    # validation of each matrix
+    a, b = (mio.load_space(path, unchecked=True) for path in (args.a, args.b))
+    check_search_size(a.n, b.n)
+    a, b = (validate_matrix(s.d, pseudometric=args.pseudometric,
+                            labels=s.labels, name=s.name) for s in (a, b))
     result = gh_exact(a, b, _node_budget(args))
     if args.format == "json" or args.out is not None:
         _emit(mio.dumps(mio.gh_result_doc(result, a, b)), args.out)
@@ -304,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hyperspace metric plus member sidecar")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.set_defaults(func=cmd_hyperspace)
 
     p = sub.add_parser("closed-form", parents=[pseudo],

@@ -20,12 +20,12 @@ Feasibility itself is a depth-first search with forward checking:
 variables are f(x) for every x then g(y) for every y, branched in
 decreasing order of point eccentricity, with domains as bitmasks pruned
 after every assignment. Thresholds are compared by candidate rank, so
-the inner loop is pure integer work. Assigning f(x) := y or g(y) := x
-creates the correspondence pair (x, y), with id x*m + y; one table of
-ranks indexed by two pair ids yields every constraint mask. Every
-assignment attempt counts as one node against the budget; on exhaustion
-the best assignment found so far is returned, and half its distortion
-is an upper bound instead of an answer.
+the inner loop is pure integer work. Distances are held as ids into
+each space's sorted distinct values, and every constraint mask is read
+off one small id-by-id rank table (a Hausdorff lift adds no distances).
+Every assignment attempt counts as one node against the budget; on
+exhaustion the best assignment found so far is returned, and half its
+distortion is an upper bound instead of an answer.
 
 The optimal witness is re-extracted at the optimal threshold with
 variables in plain index order and values tried ascending, which makes
@@ -34,7 +34,6 @@ it the lexicographically smallest optimal (f, g) encoding.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .correspondence import Correspondence, distortion, full_correspondence
+from .hyperspace import DEFAULT_SIZE_CAP
 from .rational import parse_rational
 from .spaces import FiniteMetricSpace, is_delta_connected
 
@@ -58,6 +58,7 @@ __all__ = [
     "gh_one_point",
     "gh_simplex_vs_delta_connected",
     "induced_correspondence",
+    "check_search_size",
     "DEFAULT_NODE_BUDGET",
 ]
 
@@ -86,34 +87,33 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _distance_ids(d):
+    """Sorted distinct entries of d, and d with each entry as its index."""
+    vals = sorted({v for row in d for v in row})
+    index = {v: i for i, v in enumerate(vals)}
+    return vals, [[index[v] for v in row] for row in d]
+
+
 class _Searcher:
     """Feasibility machinery shared by all thresholds for one (X, Y).
 
-    Correspondence pair (x, y) has id p = x*m + y, and rk[p][q] is the
-    rank of |d_X(x, x') - d_Y(y, y')| among the candidate values, for
-    q the id of (x', y').
+    d_X(x, x') is xs[ix[x][x']] for xs the sorted distinct distances of
+    X, and d_Y(y, y') is ys[iy[y][y']] likewise. rank[a][b] is the rank
+    of |xs[a] - ys[b]| among the candidate values, so the constraint
+    between pairs (x, y) and (x', y') has rank rank[ix[x][x']][iy[y][y']].
     """
 
     def __init__(self, x_space: FiniteMetricSpace, y_space: FiniteMetricSpace):
-        dx = x_space.d
-        dy = y_space.d
         n = self.n = x_space.n
         m = self.m = y_space.n
-        xvals = {v for row in dx for v in row}
-        yvals = {v for row in dy for v in row}
-        values = sorted({abs(a - b) for a in xvals for b in yvals})
-        self.values = values
-        rank = {v: i for i, v in enumerate(values)}
-        pair_rank = {(a, b): rank[abs(a - b)] for a in xvals for b in yvals}
-        self.rk = [
-            [pair_rank[a, b] for a in dx[x] for b in dy[y]]
-            for x in range(n)
-            for y in range(m)
-        ]
-        ecc_x = [max(row) for row in dx]
-        ecc_y = [max(row) for row in dy]
-        fx = sorted(range(n), key=lambda i: (-ecc_x[i], i))
-        gy = sorted(range(m), key=lambda j: (-ecc_y[j], j))
+        (xs, ix), (ys, iy) = map(_distance_ids, (x_space.d, y_space.d))
+        values = self.values = sorted({abs(a - b) for a in xs for b in ys})
+        index = {v: i for i, v in enumerate(values)}
+        self.rank = [[index[abs(a - b)] for b in ys] for a in xs]
+        self.ix, self.iy = ix, iy
+        # ids grow with distance, so a row's largest id marks eccentricity
+        fx = sorted(range(n), key=lambda i: (-max(ix[i]), i))
+        gy = sorted(range(m), key=lambda j: (-max(iy[j]), j))
         self.ecc_order = tuple(fx) + tuple(n + j for j in gy)
         self.index_order = tuple(range(n + m))
         self.nodes = 0
@@ -122,37 +122,31 @@ class _Searcher:
         """M[u][w][val] = allowed values of variable w once u := val.
 
         Variables 0..n-1 are f(x) (values are Y indices), n..n+m-1 are
-        g(y) (values are X indices). Both f(x) := y and g(y) := x create
-        the pair p = x*m + y, and w may take a value exactly when the
-        pair that creates has rank <= cr against p. So one mask of such
-        pairs per p, kept in x-major and in y-major bit order, holds
-        every column: f(x') reads bits x'*m .. x'*m+m-1 of the first,
-        g(y') bits y'*n .. y'*n+n-1 of the second. The diagonal columns
-        M[u][u] are never read.
+        g(y) (values are X indices). f(x) := y and g(y) := x both create
+        the pair (x, y) and share every column: ymask[y][a] holds the y'
+        with rank of |xs[a] - d_Y(y, y')| <= cr, xmask[x][b] the x' with
+        rank of |d_X(x, x') - ys[b]| <= cr, so f(x') reads ymask[y] at
+        ix[x][x'] and g(y') reads xmask[x] at iy[y][y']. M[u][u] is unused.
         """
-        n = self.n
-        m = self.m
+        n, m = self.n, self.m
         nv = n + m
-        all_x = (1 << n) - 1
-        all_y = (1 << m) - 1
-        xbit = [1 << q for q in range(n * m)]
-        ybit = [1 << (yp * n + xp) for xp in range(n) for yp in range(m)]
+        ok = [[r <= cr for r in row] for row in self.rank]
+        ymask = [[sum(1 << yp for yp, b in enumerate(row) if ok_a[b])
+                  for ok_a in ok] for row in self.iy]
+        xmask = [[sum(1 << xp for xp, a in enumerate(row) if ok[a][b])
+                  for b in range(len(ok[0]))] for row in self.ix]
         table = [[[0] * (m if u < n else n) for _ in range(nv)]
                  for u in range(nv)]
-        for p, row in enumerate(self.rk):
-            x, y = divmod(p, m)
-            xmask = ymask = 0
-            for q, r in enumerate(row):
-                if r <= cr:
-                    xmask |= xbit[q]
-                    ymask |= ybit[q]
+        for x, x_ids in enumerate(self.ix):
             f_cols = table[x]
-            g_cols = table[n + y]
-            for xp in range(n):
-                f_cols[xp][y] = g_cols[xp][x] = xmask >> (xp * m) & all_y
-            for yp in range(m):
-                f_cols[n + yp][y] = g_cols[n + yp][x] = (
-                    ymask >> (yp * n) & all_x)
+            xm = xmask[x]
+            for y, y_ids in enumerate(self.iy):
+                g_cols = table[n + y]
+                ym = ymask[y]
+                for xp, a in enumerate(x_ids):
+                    f_cols[xp][y] = g_cols[xp][x] = ym[a]
+                for yp, b in enumerate(y_ids):
+                    f_cols[n + yp][y] = g_cols[n + yp][x] = xm[b]
         return table
 
     def search(self, cr: int, order: tuple[int, ...], budget: int):
@@ -212,6 +206,13 @@ class _Searcher:
         return list(assign) if found else None
 
 
+def check_search_size(n: int, m: int) -> None:
+    """Refuse n + m points above the cap before any work on them."""
+    if n + m > MAX_SEARCH_VARIABLES:
+        raise SizeCapExceededError(
+            f"exact search takes at most {MAX_SEARCH_VARIABLES} points in all")
+
+
 def _assignment_to_corr(assign, n: int, m: int) -> Correspondence:
     pairs = {(i, assign[i]) for i in range(n)}
     pairs.update((assign[n + j], j) for j in range(m))
@@ -232,14 +233,12 @@ def gh_exact(
     """
     if node_budget < 1:
         raise InvalidParameterError("node budget must be positive")
-    if x_space.n + y_space.n > MAX_SEARCH_VARIABLES:
-        raise SizeCapExceededError(
-            f"exact search takes at most {MAX_SEARCH_VARIABLES} points in all")
+    check_search_size(x_space.n, y_space.n)
     searcher = _Searcher(x_space, y_space)
     values = searcher.values
-    n = searcher.n
-    m = searcher.m
-    lo = bisect_left(values, abs(x_space.diam() - y_space.diam()))
+    n, m = searcher.n, searcher.m
+    # the rank of |diam X - diam Y|: the last ids are the diameters
+    lo = searcher.rank[-1][-1]
     hi = len(values) - 1
     best_assign = None
     try:
@@ -383,7 +382,7 @@ def induced_correspondence(
     corr: Correspondence,
     x_space: FiniteMetricSpace,
     y_space: FiniteMetricSpace,
-    cap: int = 12,
+    cap: int = DEFAULT_SIZE_CAP,
 ) -> Correspondence:
     """Lift a correspondence to the hyperspace member indices.
 

@@ -72,7 +72,7 @@ def space_from_doc(
         labels = tuple(str(x) for x in labels)
     name = doc.get("name")
     if unchecked:
-        # test hook: a square matrix of rationals, no metric axioms checked
+        # a square matrix of rationals, no metric axioms checked
         return FiniteMetricSpace(parse_square_matrix(rows), pseudometric=True,
                                  labels=labels, name=name)
     return validate_matrix(

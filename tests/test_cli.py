@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,20 @@ class TestGh:
         assert main(["gh", "--a", line_file, "--b", pair_file]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_point_cap_is_checked_before_validation(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # a 5-point file that breaks the triangle inequality: the cap
+        # message, not the triangle error, shows the cap came first
+        monkeypatch.setattr("mslab.gh.MAX_SEARCH_VARIABLES", 4)
+        big = tmp_path / "big.json"
+        rows = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
+        rows[0][1] = rows[1][0] = 9
+        big.write_text(json.dumps({"d": rows}))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"d": [[0]]}))
+        assert main(["gh", "--a", str(big), "--b", str(point)]) == 2
+        assert "at most 4 points in all" in capsys.readouterr().err
+
 
 class TestHyperspace:
     def test_stdout_doc(self, line_file, capsys):
@@ -290,6 +305,27 @@ class TestReports:
                      "--t-set", "1,3/2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_equal"] is True
+
+
+# sha256 of each report's stdout: answers, witnesses and report bytes
+# stay fixed unless a change means to alter them
+REPORT_DIGESTS = [
+    (["sweep-nonexpansion", "--count", "300", "--max-n", "3", "--seed", "0",
+      "--format", "json"],
+     "cfbd57eabefbf2b32311bac726bc46cb5b8fed79abfda3d2432dd1ac0b6d7754"),
+    (["probe-isometry", "--count", "100", "--n", "3", "--seed", "1"],
+     "44cd534d648357a26d2e3bc328aedf48f6562836acb314cecb2b9c584b0085b2"),
+    (["table-simplex", "--p-max", "4"],
+     "96c38a384c67d0698f9771469fe56f8b03782548f6532ee7b25618f1287254dd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS,
+                         ids=[argv[0] for argv, _ in REPORT_DIGESTS])
+def test_report_bytes_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSubprocessEntry:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from mslab import (
     induced_correspondence,
     random_space,
     simplex,
+    validate_matrix,
 )
 from mslab.gh import _BudgetExhausted, _Searcher
 
@@ -135,8 +137,6 @@ class TestGhExact:
             rng.shuffle(perm)
             rows = [[x.d[perm[i]][perm[j]] for j in range(n)]
                     for i in range(n)]
-            from mslab import validate_matrix
-
             assert gh_exact(x, validate_matrix(rows)).distance == 0
 
     @given(s1=st.integers(0, 25), s2=st.integers(0, 25),
@@ -389,6 +389,10 @@ MASK_PAIRS = [
     (scale(random_space(3, 81, 9), Fraction(3, 2)), random_space(2, 82, 9)),
     (_lift(random_space(2, 83, 9)), _lift(random_space(3, 84, 9))),
     (_lift(random_space(1, 85, 9)), _lift(random_space(2, 86, 9))),
+    # off-diagonal zeros share the diagonal's distance id
+    (validate_matrix([[0, 0, 2, 3], [0, 0, 2, 3], [2, 2, 0, 1],
+                      [3, 3, 1, 0]], pseudometric=True),
+     random_space(3, 87, 9)),
 ]
 
 
@@ -402,6 +406,22 @@ class TestSearcher:
             got = {(u, w): table[u][w]
                    for u in range(nv) for w in range(nv) if u != w}
             assert got == _reference_masks(x, y, limit), cr
+
+    def test_setup_does_not_grow_with_pairs_of_pairs(self):
+        # 31 x 31 lifted pairs: a table over pairs of correspondence pairs
+        # would hold 31^4 cells, several MB
+        for seed in (41, 43):
+            x = _lift(random_space(5, seed, 9))
+            y = _lift(random_space(5, seed + 1, 9))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                searcher = _Searcher(x, y)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert searcher.n == searcher.m == 31
+            assert retained < 1 << 20, retained
 
     def test_search_leaves_no_cyclic_garbage(self):
         x = _lift(random_space(3, 23, 9))
