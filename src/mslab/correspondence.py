@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCorrespondenceError
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, scaled_to_integers
 
 __all__ = [
     "Correspondence",
@@ -63,27 +63,33 @@ def full_correspondence(n_x: int, n_y: int) -> Correspondence:
 def distortion(
     corr: Correspondence, x_space: FiniteMetricSpace, y_space: FiniteMetricSpace
 ) -> Fraction:
-    """max |d_X(x, x') - d_Y(y, y')| over pairs (x, y), (x', y') in corr."""
+    """max |d_X(x, x') - d_Y(y, y')| over pairs (x, y), (x', y') in corr.
+
+    For fixed x and x' the term is largest at the least or the greatest
+    d_Y(y, y') over y related to x and y' related to x', so only those
+    two extremes meet d_X(x, x'): the work is n_x * (#corr + n_y)
+    instead of #corr squared, on the distances scaled to integers.
+    """
     if corr.n_x != x_space.n or corr.n_y != y_space.n:
         raise InvalidCorrespondenceError(
             f"correspondence is {corr.n_x} x {corr.n_y}, "
             f"spaces are {x_space.n} and {y_space.n}")
-    ps = corr.sorted_pairs()
-    dx = x_space.d
-    dy = y_space.d
-    worst = Fraction(0)
-    for a in range(len(ps)):
-        xa, ya = ps[a]
-        dxa = dx[xa]
-        dya = dy[ya]
-        for b in range(a + 1, len(ps)):
-            xb, yb = ps[b]
-            gap = dxa[xb] - dya[yb]
-            if gap < 0:
-                gap = -gap
-            if gap > worst:
-                worst = gap
-    return worst
+    den, (dx, dy) = scaled_to_integers(x_space.d, y_space.d)
+    related = [[] for _ in range(corr.n_x)]
+    for x, y in corr.pairs:
+        related[x].append(y)
+    worst = 0
+    for x, dx_row in enumerate(dx):
+        # low[y'] / high[y']: least / greatest d_Y(y, y') over y ~ x
+        cols = list(zip(*(dy[y] for y in related[x])))
+        low = list(map(min, cols))
+        high = list(map(max, cols))
+        for xp in range(x, corr.n_x):
+            yps = related[xp]
+            c = dx_row[xp]
+            worst = max(worst, c - min(map(low.__getitem__, yps)),
+                        max(map(high.__getitem__, yps)) - c)
+    return Fraction(worst, den)
 
 
 @dataclass(frozen=True)

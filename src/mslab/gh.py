@@ -18,11 +18,12 @@ finite:
 
 Feasibility itself is a depth-first search with forward checking:
 variables are f(x) for every x then g(y) for every y, branched in
-decreasing order of point eccentricity, with domains as bitmasks pruned
-after every assignment. Thresholds are compared by candidate rank, so
-the inner loop is pure integer work. Distances are held as ids into
-each space's sorted distinct values, and every constraint mask is read
-off one small id-by-id rank table (a Hausdorff lift adds no distances).
+decreasing order of point eccentricity, with all domains packed into
+one int and pruned by one AND per assignment. Thresholds are compared
+by candidate rank, so the inner loop is pure integer work. Distances
+are held as ids into each space's sorted distinct values, and every
+constraint mask is read off one small id-by-id rank table (a Hausdorff
+lift adds no distances).
 Every assignment attempt counts as one node against the budget; on
 exhaustion the best assignment found so far is returned, and half its
 distortion is an upper bound instead of an answer.
@@ -150,60 +151,59 @@ class _Searcher:
         return table
 
     def search(self, cr: int, order: tuple[int, ...], budget: int):
-        """First full assignment with distortion rank <= cr, or None."""
-        n = self.n
-        m = self.m
+        """First full assignment with distortion rank <= cr, or None.
+
+        All domains share one int: variable w owns size[w] bits from bit
+        w * width, and the bit above them stays clear. rows[var][val] has the
+        masks M[var][w][val] in the fields of the variables after var in
+        order and ones elsewhere; adding `full` (every field all ones)
+        then carries into the spare bit of exactly the nonempty fields.
+        """
+        n, m, nvars = self.n, self.m, self.n + self.m
         table = self._mask_table(cr)
-        nvars = n + m
-        doms = [(1 << m) - 1] * n + [(1 << n) - 1] * m
+        size = [m] * n + [n] * m
+        width = max(n, m) + 1
+        full = sum(((1 << s) - 1) << (w * width) for w, s in enumerate(size))
+        rows, need, settled = [None] * nvars, [0] * nvars, 0
+        for k, var in enumerate(order):
+            settled |= ((1 << size[var]) - 1) << (var * width)
+            later = order[k + 1:]
+            need[k] = sum(1 << (w * width + size[w]) for w in later)
+            rows[var] = [settled | sum(table[var][w][val] << (w * width)
+                                       for w in later)
+                         for val in range(size[var])]
         assign = [-1] * nvars
-        suffix = [order[k + 1:] for k in range(nvars)]
         nodes = self.nodes
 
-        def extend(k: int) -> bool:
+        def extend(k: int, doms: int) -> bool:
             nonlocal nodes
             if k == nvars:
                 return True
             var = order[k]
-            rest = suffix[k]
-            masks = table[var]
-            dom = doms[var]
+            choices, spare = rows[var], need[k]
+            dom = doms >> (var * width) & ((1 << size[var]) - 1)
             while dom:
                 low = dom & -dom
                 dom ^= low
-                val = low.bit_length() - 1
                 nodes += 1
                 if nodes > budget:
-                    self.nodes = nodes
                     raise _BudgetExhausted
-                trail = []
-                ok = True
-                for w in rest:
-                    old = doms[w]
-                    new = old & masks[w][val]
-                    if new != old:
-                        doms[w] = new
-                        trail.append((w, old))
-                        if not new:
-                            ok = False
-                            break
-                if ok:
+                val = low.bit_length() - 1
+                new = doms & choices[val]
+                if (new + full) & spare == spare:
                     assign[var] = val
-                    if extend(k + 1):
+                    if extend(k + 1, new):
                         return True
-                    assign[var] = -1
-                for w, old in trail:
-                    doms[w] = old
             return False
 
         try:
-            found = extend(0)
+            found = extend(0, full)
         finally:
             self.nodes = nodes
             # extend refers to itself; dropping it frees this probe's
-            # table and domains now instead of at the next gc pass
+            # rows now instead of at the next gc pass
             del extend
-        return list(assign) if found else None
+        return assign if found else None
 
 
 def check_search_size(n: int, m: int) -> None:

@@ -98,6 +98,14 @@ def parse_square_matrix(
     return parsed
 
 
+def scaled_to_integers(*matrices) -> tuple[int, list[list[list[int]]]]:
+    """Common denominator den of all entries, and each matrix times den."""
+    den = math.lcm(*{x.denominator for d in matrices
+                     for row in d for x in row})
+    return den, [[[x.numerator * (den // x.denominator) for x in row]
+                  for row in d] for d in matrices]
+
+
 def validate_matrix(
     rows: Sequence[Sequence[int | str | Fraction]],
     *,
@@ -115,9 +123,7 @@ def validate_matrix(
     """
     parsed = parse_square_matrix(rows)
     n = len(parsed)
-    den = math.lcm(*{x.denominator for row in parsed for x in row})
-    ints = [[x.numerator * (den // x.denominator) for x in row]
-            for row in parsed]
+    _, (ints,) = scaled_to_integers(parsed)
     for i in range(n):
         if ints[i][i] != 0:
             raise NonzeroDiagonalError(f"d[{i}][{i}] = {parsed[i][i]}")

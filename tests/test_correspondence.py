@@ -17,7 +17,7 @@ from mslab import (
     validate_matrix,
 )
 
-from helpers import chain, line013
+from helpers import chain, line013, scale
 
 
 class TestConstruction:
@@ -74,6 +74,21 @@ class TestDistortion:
         small = Correspondence(
             frozenset({(0, 0), (1, 1), (2, 2)}), 3, 3)
         assert distortion(small, x, y) <= distortion(big, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6),
+           st.data())
+    def test_matches_max_over_all_pairs_of_pairs(self, n, m, seed, data):
+        x = random_space(n, seed, 9)
+        y = scale(random_space(m, seed + 1, 9), Fraction(2, 3))
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        pairs = ({(i, i % m) for i in range(n)}
+                 | {(j % n, j) for j in range(m)}
+                 | data.draw(st.sets(st.sampled_from(cells))))
+        expected = max(abs(x.d[a][c] - y.d[b][e])
+                       for a, b in pairs for c, e in pairs)
+        corr = Correspondence(frozenset(pairs), n, m)
+        assert distortion(corr, x, y) == expected
 
 
 class TestGlueRealization:
